@@ -47,14 +47,33 @@ pub fn simple_lock_counter(
 /// policy and thread count (checks "most locks ... are acquired on the
 /// first attempt").
 pub fn simple_lock_first_try_rate(policy: SpinPolicy, threads: usize, iters: u64) -> f64 {
-    use machk_core::sync::InstrumentedSimpleLock;
-    let lock = InstrumentedSimpleLock::with_policy(policy, Backoff::NONE);
+    first_try_rate(&RawSimpleLock::with_policy(policy, Backoff::NONE), threads, iters)
+}
+
+/// [`simple_lock_first_try_rate`] on a given lock. Each acquisition
+/// first makes one `try_lock_raw` and falls back to a blocking
+/// `lock_raw` — under TAS-then-TTAS exactly the policy's own first
+/// test-and-set.
+fn first_try_rate(lock: &RawSimpleLock, threads: usize, iters: u64) -> f64 {
+    let first_tries = AtomicU64::new(0);
     run_concurrent(threads, |_t| {
+        let mut first = 0;
         for _ in 0..iters {
-            lock.lock().unlock();
+            if lock.try_lock_raw() {
+                first += 1;
+            } else {
+                lock.lock_raw();
+            }
+            lock.unlock_raw();
         }
+        // relaxed: a tally read only after the threads are joined.
+        first_tries.fetch_add(first, Ordering::Relaxed);
     });
-    lock.stats().snapshot().first_try_rate()
+    let total = threads as u64 * iters;
+    if total == 0 {
+        return 1.0;
+    }
+    first_tries.into_inner() as f64 / total as f64
 }
 
 // ---------------------------------------------------------------- E2
@@ -730,7 +749,27 @@ mod tests {
             assert!(simple_lock_counter(p, Backoff::NONE, T, N) > 0.0);
         }
         let r = simple_lock_first_try_rate(SpinPolicy::TasThenTtas, 1, N);
-        assert!((0.0..=1.0).contains(&r));
+        assert_eq!(r, 1.0, "one thread never contends");
+    }
+
+    #[test]
+    fn e1_first_try_rate_sees_contention() {
+        // Deterministic contention: hold the lock while a second thread
+        // acquires, so its one acquisition cannot succeed first try. A
+        // queued policy registers the waiter, which is how this thread
+        // knows the attempt has failed before it releases.
+        let lock = RawSimpleLock::with_policy(SpinPolicy::Ticket, Backoff::NONE);
+        let holder = lock.lock();
+        let r = std::thread::scope(|s| {
+            let t = s.spawn(|| first_try_rate(&lock, 1, 1));
+            while lock.waiters() == 0 {
+                std::thread::yield_now();
+            }
+            drop(holder);
+            t.join().unwrap()
+        });
+        assert!(r < 1.0, "the held lock was acquired first try: {r}");
+        assert!(!lock.is_locked());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use machk_sync::{held, RawSimpleLock, SimpleGuard};
+use machk_sync::{held, probe, RawSimpleLock, SimpleGuard};
 
 use crate::record::{ThreadHandle, WaitRecord, WaitResult};
 use crate::table;
@@ -42,8 +42,7 @@ pub fn current_thread() -> ThreadHandle {
 /// blocking between `assert_wait` and `thread_block` makes the blocking
 /// operation "call `assert_wait` a second time (this is fatal)".
 pub fn assert_wait(event: Event, interruptible: bool) {
-    #[cfg(feature = "obs")]
-    machk_obs::emit(machk_obs::EventKind::EventWait, 0, event.0 as u64);
+    probe::event_wait(event.0);
     with_current(|rec| {
         let generation = rec.assert_wait(interruptible);
         table::enqueue(event, generation, rec);
@@ -68,16 +67,12 @@ pub fn thread_block() -> WaitResult {
 /// callers that fail to re-check their predicate proceed on a false
 /// assumption (the classic condition-variable discipline the paper's
 /// wait loops must follow).
-#[cfg(feature = "fault")]
+#[inline]
 fn fault_spurious_wake() {
-    if machk_fault::fire(machk_fault::FaultSite::EventSpuriousWake) {
+    if probe::inject_event_spurious_wake() {
         with_current(|rec| rec.wake_current(WaitResult::Awakened));
     }
 }
-
-#[cfg(not(feature = "fault"))]
-#[inline]
-fn fault_spurious_wake() {}
 
 /// [`thread_block`] with an upper bound on the wait.
 ///
@@ -96,13 +91,11 @@ pub fn thread_wakeup(event: Event) -> usize {
     // Fault hook: the occurrence is declared but never delivered — the
     // §6 lost-wakeup failure, injected on demand. Waiters relying on
     // unbounded `thread_block` hang; bounded waiters diagnose.
-    #[cfg(feature = "fault")]
-    if machk_fault::fire(machk_fault::FaultSite::EventDropWakeup) {
+    if probe::inject_event_drop_wakeup() {
         return 0;
     }
     let woken = table::wakeup(event, usize::MAX, WaitResult::Awakened);
-    #[cfg(feature = "obs")]
-    machk_obs::emit(machk_obs::EventKind::EventWakeup, 0, event.0 as u64);
+    probe::event_wakeup(event.0);
     woken
 }
 
@@ -110,13 +103,11 @@ pub fn thread_wakeup(event: Event) -> usize {
 /// thread. Returns `true` if a thread was awakened.
 pub fn thread_wakeup_one(event: Event) -> bool {
     // Fault hook: drop the single wakeup (see [`thread_wakeup`]).
-    #[cfg(feature = "fault")]
-    if machk_fault::fire(machk_fault::FaultSite::EventDropWakeup) {
+    if probe::inject_event_drop_wakeup() {
         return false;
     }
     let woken = table::wakeup(event, 1, WaitResult::Awakened) == 1;
-    #[cfg(feature = "obs")]
-    machk_obs::emit(machk_obs::EventKind::EventWakeup, 0, event.0 as u64);
+    probe::event_wakeup(event.0);
     woken
 }
 

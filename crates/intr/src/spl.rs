@@ -7,7 +7,7 @@
 
 use core::fmt;
 
-use machk_sync::RawSimpleLock;
+use machk_sync::{probe, RawSimpleLock};
 
 use crate::cpu::{current_cpu, Cpu};
 
@@ -84,8 +84,7 @@ pub struct SplToken {
 /// not bound to a CPU (see [`Cpu::enter`]).
 pub fn spl_raise(level: SplLevel) -> SplToken {
     let cpu = current_cpu().expect("spl_raise: thread not bound to a simulated CPU");
-    #[cfg(feature = "obs")]
-    machk_obs::emit(machk_obs::EventKind::SplRaise, 0, level as u64);
+    probe::spl_raise(level as u64);
     SplToken {
         previous: cpu.raise_spl(level),
     }
@@ -96,12 +95,7 @@ pub fn spl_raise(level: SplLevel) -> SplToken {
 /// level run before this returns.
 pub fn spl_restore(token: SplToken) {
     let cpu = current_cpu().expect("spl_restore: thread not bound to a simulated CPU");
-    #[cfg(feature = "obs")]
-    machk_obs::emit(
-        machk_obs::EventKind::SplRestore,
-        0,
-        token.previous as u64,
-    );
+    probe::spl_restore(token.previous as u64);
     cpu.set_spl(token.previous);
     cpu.poll();
 }
@@ -257,8 +251,7 @@ impl SplLock {
             self.check_level_result(&cpu)?;
             // Fault hook: pretend the acquisition arrived at the wrong
             // interrupt priority level even though it did not.
-            #[cfg(feature = "fault")]
-            if machk_fault::fire(machk_fault::FaultSite::SplWrongLevel) {
+            if probe::inject_spl_wrong_level() {
                 return Err(SplViolation {
                     required: self.required_level().unwrap_or(SplLevel::Spl0),
                     actual: cpu.spl(),

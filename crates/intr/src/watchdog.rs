@@ -10,7 +10,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use machk_sync::host;
+use machk_sync::{host, probe};
 
 /// Error reported when a deadline expires while a coordination step is
 /// still incomplete — the simulation's verdict that the configured
@@ -76,22 +76,7 @@ pub fn escalate(err: DeadlockDetected) -> DeadlockReport {
             report.push('\n');
         }
     }
-    #[cfg(feature = "obs")]
-    {
-        let stat = machk_obs::Lockstat::collect();
-        if stat.cycles.is_empty() {
-            report.push_str("no lock-order cycles on record; lockstat at detection:\n");
-        } else {
-            report.push_str("lock-order cycles on record (likely culprit first):\n");
-            for c in &stat.cycles {
-                report.push_str(&machk_obs::order::render_cycle(c));
-                report.push('\n');
-            }
-        }
-        report.push_str(&stat.render_text(5, false));
-    }
-    #[cfg(not(feature = "obs"))]
-    report.push_str("(build with the `obs` feature for a lockstat dump at detection)\n");
+    probe::lockstat_dump(&mut report);
     DeadlockReport {
         waited: err.waited,
         report,

@@ -104,7 +104,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use machk_core::sync::host;
+use machk_core::sync::{host, probe};
 use machk_core::{Kobj, LockError, ObjRef, RawSimpleLock, ShardedRefCount};
 
 use crate::message::Message;
@@ -439,19 +439,6 @@ fn seq_key(index: usize, generation: u32, seq: u64) -> u64 {
 /// use it: `Engine::new` caps `workers` below this).
 const TEARDOWN_INDEX: usize = 0xFFFF;
 
-/// Whether the installed fault plan can kill workers (armed
-/// `worker_crash` / `worker_crash_holding` sites) — one of the two
-/// triggers for supervised mode.
-fn crash_sites_armed() -> bool {
-    #[cfg(feature = "fault")]
-    {
-        machk_fault::site_enabled(machk_fault::FaultSite::WorkerCrash)
-            || machk_fault::site_enabled(machk_fault::FaultSite::WorkerCrashHolding)
-    }
-    #[cfg(not(feature = "fault"))]
-    false
-}
-
 thread_local! {
     /// Set while a supervised worker body runs: its injected-kill
     /// panics are *expected*, so the default panic banner is suppressed
@@ -475,22 +462,6 @@ fn install_quiet_panic_hook() {
         }));
     });
 }
-
-/// Trace one completed dispatch-loop batch (`obs` feature): the
-/// `EngineBatch` event under the shared `ipc.engine.loop` name, `arg`
-/// = operations dispatched since the previous drain point. Workers are
-/// distinguished downstream by the per-thread tag every event carries.
-#[cfg(feature = "obs")]
-#[inline]
-fn obs_engine_batch(ops: u64) {
-    static TAG: machk_obs::LockTag = machk_obs::LockTag::new();
-    let id = TAG.ensure("ipc.engine.loop", machk_obs::LockClass::Other, "engine");
-    machk_obs::emit(machk_obs::EventKind::EngineBatch, id, ops);
-}
-
-#[cfg(not(feature = "obs"))]
-#[inline]
-fn obs_engine_batch(_ops: u64) {}
 
 /// The engine: shared state plus the dispatch table. Build one with
 /// [`Engine::new`], fire storms with [`Engine::run`].
@@ -676,8 +647,7 @@ impl Engine {
                 if generation == 0 && shared.cfg.crash_due(index, op, CrashKind::Holding) {
                     panic!("injected crash: worker {index} at op {op} (holding scratch lock)");
                 }
-                #[cfg(feature = "fault")]
-                if machk_fault::fire(machk_fault::FaultSite::WorkerCrashHolding) {
+                if probe::inject_worker_crash_holding() {
                     panic!("injected crash: worker {index} at op {op} (seeded, holding scratch lock)");
                 }
                 // relaxed: under scratch_lock, see above.
@@ -713,8 +683,7 @@ impl Engine {
         // Each incarnation declares a fresh fault role: replaying the
         // dead incarnation's decision stream would kill every restart
         // at the same op, forever.
-        #[cfg(feature = "fault")]
-        machk_fault::set_role(generation.wrapping_mul(cfg.workers as u32) + index as u32);
+        probe::set_fault_role(generation.wrapping_mul(cfg.workers as u32) + index as u32);
 
         let mut mix = Mix(resume.mix);
         let mut t = resume.tally;
@@ -741,8 +710,7 @@ impl Engine {
                 if generation == 0 && cfg.crash_due(index, op, CrashKind::OpStart) {
                     panic!("injected crash: worker {index} at op {op} (op start)");
                 }
-                #[cfg(feature = "fault")]
-                if machk_fault::fire(machk_fault::FaultSite::WorkerCrash) {
+                if probe::inject_worker_crash() {
                     panic!("injected crash: worker {index} at op {op} (seeded)");
                 }
                 Self::scratch_section(shared, index, op, generation, &mut t, deadline);
@@ -813,8 +781,7 @@ impl Engine {
                             if generation == 0 && cfg.crash_due(index, op, CrashKind::AfterCreate) {
                                 panic!("injected crash: worker {index} at op {op} (after create)");
                             }
-                            #[cfg(feature = "fault")]
-                            if machk_fault::fire(machk_fault::FaultSite::WorkerCrash) {
+                            if probe::inject_worker_crash() {
                                 panic!(
                                     "injected crash: worker {index} at op {op} (seeded, after create)"
                                 );
@@ -912,7 +879,7 @@ impl Engine {
                     t.drained += n as u64;
                 }
                 batch.clear(); // rights released in bulk
-                obs_engine_batch(cfg.drain_every as u64);
+                probe::engine_batch(cfg.drain_every as u64);
             }
         }
 
@@ -995,7 +962,7 @@ impl Engine {
     /// build a fresh engine per storm.
     pub fn run(self) -> EngineReport {
         let start = host::now();
-        let supervised = !self.cfg.crash_at.is_empty() || crash_sites_armed();
+        let supervised = !self.cfg.crash_at.is_empty() || probe::crash_sites_armed();
         if supervised {
             install_quiet_panic_hook();
         }

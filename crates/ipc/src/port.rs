@@ -24,6 +24,7 @@
 //! (`clear_wait`) if the condition already changed. That re-check is
 //! what makes the lock-free queue race-free against lost wakeups.
 
+use machk_core::sync::host;
 use machk_core::{
     assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, thread_wakeup,
     Deactivated, Event, ObjHeader, ObjRef, Refable, SimpleLocked, WaitResult,
@@ -238,9 +239,10 @@ impl Port {
         }
     }
 
-    /// Receive with an upper bound on the wait.
+    /// Receive with an upper bound on the wait, measured on the host
+    /// clock (virtual time under a simulator).
     pub fn receive_timeout(&self, timeout: std::time::Duration) -> Result<Message, PortError> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = host::deadline_after(timeout);
         loop {
             if self.pset_event().is_some() {
                 return Err(PortError::InPortSet);
@@ -250,16 +252,14 @@ impl Port {
                 return Ok(m);
             }
             self.header.check_active()?;
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            if host::now() >= deadline {
                 return Err(PortError::TimedOut);
             }
             assert_wait(self.recv_event(), false);
             if !self.queue.is_empty() || !self.header.is_active() {
                 clear_wait(&current_thread(), WaitResult::Awakened);
             }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if thread_block_timeout(remaining) == WaitResult::TimedOut {
+            if thread_block_timeout(host::until(deadline)) == WaitResult::TimedOut {
                 // One more pass to drain anything that raced in.
                 if let Some(m) = self.queue.pop() {
                     thread_wakeup(self.send_event());

@@ -10,6 +10,7 @@
 //! ([`crate::PortError::InPortSet`]) — in Mach the receive right
 //! effectively moves to the set.
 
+use machk_core::sync::host;
 use machk_core::{
     assert_wait, clear_wait, current_thread, thread_block, thread_block_timeout, Event, ObjHeader,
     ObjRef, Refable, SimpleLocked, WaitResult,
@@ -149,12 +150,13 @@ impl PortSet {
         }
     }
 
-    /// Receive with a bound on the wait.
+    /// Receive with a bound on the wait, measured on the host clock
+    /// (virtual time under a simulator).
     pub fn receive_timeout(
         &self,
         timeout: std::time::Duration,
     ) -> Result<(Message, ObjRef<Port>), PortError> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = host::deadline_after(timeout);
         loop {
             {
                 if let Some(hit) = self.poll_members() {
@@ -162,7 +164,7 @@ impl PortSet {
                 }
                 let s = self.state.lock();
                 self.header.check_active()?;
-                if std::time::Instant::now() >= deadline {
+                if host::now() >= deadline {
                     return Err(PortError::TimedOut);
                 }
                 assert_wait(self.event(), false);
@@ -172,8 +174,7 @@ impl PortSet {
                     clear_wait(&current_thread(), WaitResult::Awakened);
                 }
             }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if thread_block_timeout(remaining) == WaitResult::TimedOut {
+            if thread_block_timeout(host::until(deadline)) == WaitResult::TimedOut {
                 return match self.poll_members() {
                     Some(hit) => Ok(hit),
                     None => Err(PortError::TimedOut),

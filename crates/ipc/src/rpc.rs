@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use machk_core::sync::host;
+use machk_core::sync::{host, probe};
 use machk_core::{Deactivated, JitterBackoff, ObjRef, Refable, SimpleLocked};
 
 use crate::message::Message;
@@ -194,8 +194,7 @@ impl ReplyCache {
 
     /// Record the finished reply for sequence `seq` (called at the
     /// reply-drop point, after the ledger has settled). Only the
-    /// fault-feature drop hook loses replies, hence the allow.
-    #[cfg_attr(not(feature = "fault"), allow(dead_code))]
+    /// injected reply drop loses replies.
     fn record(&self, seq: u64, reply: Message) {
         let mut map = self.map.lock();
         if map.insert(seq, reply).is_none() {
@@ -402,13 +401,10 @@ impl DispatchTable {
         stats: &RpcStats,
         record: Option<(&ReplyCache, u64)>,
     ) -> Result<Message, RpcError> {
-        #[cfg(not(feature = "fault"))]
-        let _ = record;
         // Fault hook: the port died between the caller's send and our
         // translation. Injected *before* the translation counter so no
         // reference was obtained and the ledger stays balanced.
-        #[cfg(feature = "fault")]
-        if machk_fault::fire(machk_fault::FaultSite::RpcDeadPort) {
+        if probe::inject_rpc_dead_port() {
             return Err(RpcError::Port(PortError::Dead));
         }
 
@@ -459,8 +455,7 @@ impl DispatchTable {
         // so the reference ledger is untouched and still balances. For
         // idempotent callers the finished reply is recorded first, so a
         // retry is answered without re-executing anything.
-        #[cfg(feature = "fault")]
-        if result.is_ok() && machk_fault::fire(machk_fault::FaultSite::RpcDropReply) {
+        if result.is_ok() && probe::inject_rpc_drop_reply() {
             drop(request);
             if let (Some((cache, seq)), Ok(reply)) = (record, result) {
                 cache.record(seq, reply);

@@ -14,7 +14,7 @@ use core::sync::atomic::{AtomicBool, Ordering};
 use std::thread::ThreadId;
 use std::time::Duration;
 
-use machk_sync::host;
+use machk_sync::{host, probe};
 
 use machk_event::{assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event};
 use machk_sync::{LockError, LockTimeout, Poisoned, SimpleLocked, SimpleLockedGuard};
@@ -112,33 +112,12 @@ pub struct ComplexLock {
     /// into a system hang — but the flag makes the suspect state
     /// *diagnosable* ([`ComplexLock::is_poisoned`]).
     poisoned: AtomicBool,
-    /// Lockstat registration and hold-time state (`obs` feature only).
-    #[cfg(feature = "obs")]
-    obs: ComplexObs,
-}
-
-/// Per-lock observability state: registry tag (resolved lazily from
-/// `name`) plus the most recent acquisition timestamp. With concurrent
-/// readers the hold sample recorded at each release measures time
-/// since the *most recent* acquisition — exact for writers, a lower
-/// bound for overlapping readers, which is the useful shape for a
-/// contention profile.
-#[cfg(feature = "obs")]
-struct ComplexObs {
-    name: &'static str,
-    tag: machk_obs::LockTag,
-    acquired_at: core::sync::atomic::AtomicU64,
-}
-
-#[cfg(feature = "obs")]
-impl ComplexObs {
-    const fn new(name: &'static str) -> ComplexObs {
-        ComplexObs {
-            name,
-            tag: machk_obs::LockTag::new(),
-            acquired_at: core::sync::atomic::AtomicU64::new(0),
-        }
-    }
+    /// Lockstat registration and hold-time state (see
+    /// [`machk_sync::probe`]). With concurrent readers the hold sample
+    /// recorded at each release measures time since the *most recent*
+    /// acquisition — exact for writers, a lower bound for overlapping
+    /// readers, which is the useful shape for a contention profile.
+    tag: probe::Tag,
 }
 
 impl ComplexLock {
@@ -157,13 +136,10 @@ impl ComplexLock {
     /// Without the feature the name is accepted and ignored; anonymous
     /// locks ([`ComplexLock::new`]) are never traced.
     pub const fn named(name: &'static str, can_sleep: bool) -> Self {
-        #[cfg(not(feature = "obs"))]
-        let _ = name;
         ComplexLock {
             state: SimpleLocked::new(LockState::new(can_sleep)),
             poisoned: AtomicBool::new(false),
-            #[cfg(feature = "obs")]
-            obs: ComplexObs::new(name),
+            tag: probe::Tag::new(name),
         }
     }
 
@@ -253,90 +229,11 @@ impl ComplexLock {
         s.recursive_holder == Some(Self::me())
     }
 
-    // ----- observability hooks (`obs` feature; no-ops otherwise) -----
-
-    /// Registry id: 0 for anonymous locks, else lazily registered.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_id(&self) -> u32 {
-        if self.obs.name.is_empty() {
-            0
-        } else {
-            self.obs
-                .tag
-                .ensure(self.obs.name, machk_obs::LockClass::Complex, "rw")
-        }
-    }
-
-    /// Trace a successful read or write acquisition: emit the acquire
-    /// event (with the contended flag); counters, histograms, and the
-    /// order graph live downstream in `machk_obs::StatsSubscriber`.
-    #[cfg(feature = "obs")]
-    fn obs_acquired(&self, _op: machk_obs::ComplexOp, kind: machk_obs::EventKind, t0: u64, waited: bool) {
-        let id = self.obs_id();
-        if id == 0 {
-            return;
-        }
-        let now = machk_obs::now_ns();
-        let wait = now.saturating_sub(t0);
-        self.obs
-            .acquired_at
-            // relaxed: obs timestamp written by the holder; readers of
-            // the hold time are the same holder at release.
-            .store(now, core::sync::atomic::Ordering::Relaxed);
-        machk_obs::emit_flags(
-            kind,
-            id,
-            wait,
-            if waited { machk_obs::FLAG_CONTENDED } else { 0 },
-        );
-    }
-
-    /// Trace a mode transition on an already-held lock (upgrade ok,
-    /// upgrade failed, downgrade). The subscriber knows an upgrade
-    /// failure implies the read hold was lost (§7.1) and pops the
-    /// order stack itself.
-    #[cfg(feature = "obs")]
-    fn obs_transition(&self, _op: machk_obs::ComplexOp, kind: machk_obs::EventKind) {
-        let id = self.obs_id();
-        if id == 0 {
-            return;
-        }
-        machk_obs::emit(kind, id, 0);
-    }
-
-    /// Trace a release (`lock_done`) with the measured hold time.
-    #[cfg(feature = "obs")]
-    fn obs_released(&self) {
-        let Some(id) = self.obs.tag.get() else {
-            return;
-        };
-        let hold = machk_obs::now_ns().saturating_sub(
-            self.obs
-                .acquired_at
-                // relaxed: same-holder read of the timestamp stored at
-                // acquisition; the lock itself orders the pair.
-                .load(core::sync::atomic::Ordering::Relaxed),
-        );
-        machk_obs::emit(machk_obs::EventKind::ComplexRelease, id, hold);
-    }
-
-    /// Trace a failed try operation.
-    #[cfg(feature = "obs")]
-    fn obs_try_fail(&self) {
-        let id = self.obs_id();
-        if id == 0 {
-            return;
-        }
-        machk_obs::emit(machk_obs::EventKind::ComplexTryFail, id, 0);
-    }
-
     // ----- raw operations (Appendix B semantics) -----
 
     /// Acquire for writing (`lock_write`).
     pub fn write_raw(&self) {
-        #[cfg(feature = "obs")]
-        let t0 = machk_obs::now_ns();
+        let t0 = probe::now();
         let mut waited = false;
         let mut s = self.state.lock();
         if Self::is_recursive_holder(&s) {
@@ -364,20 +261,12 @@ impl ComplexLock {
             s = self.wait(s, &mut spins);
         }
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Write,
-            machk_obs::EventKind::ComplexWrite,
-            t0,
-            waited,
-        );
-        let _ = waited;
+        probe::complex_write_acquired(&self.tag, t0, waited);
     }
 
     /// Acquire for reading (`lock_read`).
     pub fn read_raw(&self) {
-        #[cfg(feature = "obs")]
-        let t0 = machk_obs::now_ns();
+        let t0 = probe::now();
         let mut waited = false;
         let mut s = self.state.lock();
         if Self::is_recursive_holder(&s) {
@@ -396,14 +285,7 @@ impl ComplexLock {
         }
         s.read_count += 1;
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Read,
-            machk_obs::EventKind::ComplexRead,
-            t0,
-            waited,
-        );
-        let _ = waited;
+        probe::complex_read_acquired(&self.tag, t0, waited);
     }
 
     /// Bounded [`ComplexLock::write_raw`]: give up (with the lock fully
@@ -445,13 +327,7 @@ impl ComplexLock {
             s = self.wait_deadline(s, &mut spins, start, limit);
         }
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Write,
-            machk_obs::EventKind::ComplexWrite,
-            machk_obs::now_ns(),
-            true,
-        );
+        probe::complex_write_acquired(&self.tag, probe::now(), true);
         Ok(())
     }
 
@@ -475,13 +351,7 @@ impl ComplexLock {
         }
         s.read_count += 1;
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Read,
-            machk_obs::EventKind::ComplexRead,
-            machk_obs::now_ns(),
-            true,
-        );
+        probe::complex_read_acquired(&self.tag, probe::now(), true);
         Ok(())
     }
 
@@ -510,8 +380,7 @@ impl ComplexLock {
         }
         self.wake_waiters(&mut s);
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_released();
+        probe::complex_release(&self.tag);
     }
 
     /// Upgrade read → write (`lock_read_to_write`).
@@ -534,10 +403,7 @@ impl ComplexLock {
         // semantically identical to a pending upgrade, so the caller's
         // §7.1 recovery logic (restart from scratch) is exercised on
         // demand.
-        #[cfg(feature = "fault")]
-        let forced_fail = machk_fault::fire(machk_fault::FaultSite::ComplexUpgradeFail);
-        #[cfg(not(feature = "fault"))]
-        let forced_fail = false;
+        let forced_fail = probe::inject_complex_upgrade_fail();
         if s.want_upgrade || forced_fail {
             // Another upgrade pending: we lose. Our read lock is gone; if
             // that makes the reader count zero the pending upgrader may
@@ -548,11 +414,7 @@ impl ComplexLock {
             drop(s);
             // The failed upgrade released our read hold; the stats
             // subscriber pops the order stack on this event.
-            #[cfg(feature = "obs")]
-            self.obs_transition(
-                machk_obs::ComplexOp::UpgradeFailed,
-                machk_obs::EventKind::ComplexUpgradeFail,
-            );
+            probe::complex_upgrade_failed(&self.tag);
             return true;
         }
         s.want_upgrade = true;
@@ -561,11 +423,7 @@ impl ComplexLock {
             s = self.wait(s, &mut spins);
         }
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_transition(
-            machk_obs::ComplexOp::UpgradeOk,
-            machk_obs::EventKind::ComplexUpgradeOk,
-        );
+        probe::complex_upgraded(&self.tag);
         false
     }
 
@@ -589,11 +447,7 @@ impl ComplexLock {
         // Other readers may now enter.
         self.wake_waiters(&mut s);
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_transition(
-            machk_obs::ComplexOp::Downgrade,
-            machk_obs::EventKind::ComplexDowngrade,
-        );
+        probe::complex_downgraded(&self.tag);
     }
 
     /// Single attempt to acquire for writing (`lock_try_write`).
@@ -609,19 +463,12 @@ impl ComplexLock {
         }
         if s.want_write || s.want_upgrade || s.read_count > 0 {
             drop(s);
-            #[cfg(feature = "obs")]
-            self.obs_try_fail();
+            probe::complex_try_failed(&self.tag);
             return false;
         }
         s.want_write = true;
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Write,
-            machk_obs::EventKind::ComplexWrite,
-            machk_obs::now_ns(),
-            false,
-        );
+        probe::complex_write_acquired(&self.tag, probe::now(), false);
         true
     }
 
@@ -635,19 +482,12 @@ impl ComplexLock {
         }
         if s.want_write || s.want_upgrade {
             drop(s);
-            #[cfg(feature = "obs")]
-            self.obs_try_fail();
+            probe::complex_try_failed(&self.tag);
             return false;
         }
         s.read_count += 1;
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_acquired(
-            machk_obs::ComplexOp::Read,
-            machk_obs::EventKind::ComplexRead,
-            machk_obs::now_ns(),
-            false,
-        );
+        probe::complex_read_acquired(&self.tag, probe::now(), false);
         true
     }
 
@@ -673,8 +513,7 @@ impl ComplexLock {
         );
         if s.want_upgrade {
             drop(s);
-            #[cfg(feature = "obs")]
-            self.obs_try_fail();
+            probe::complex_try_failed(&self.tag);
             return false; // keep the read lock
         }
         s.want_upgrade = true;
@@ -684,11 +523,7 @@ impl ComplexLock {
             s = self.wait(s, &mut spins);
         }
         drop(s);
-        #[cfg(feature = "obs")]
-        self.obs_transition(
-            machk_obs::ComplexOp::UpgradeOk,
-            machk_obs::EventKind::ComplexUpgradeOk,
-        );
+        probe::complex_upgraded(&self.tag);
         true
     }
 

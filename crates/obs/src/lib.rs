@@ -38,22 +38,19 @@
 //! * **[`report`]** — the aggregation pass: a `lockstat`-style text or
 //!   JSON report (top-N locks by contention, histograms, reader/writer
 //!   breakdown, per-policy comparison, order cycles).
-//! * **[`snapshot`]** — one trait ([`StatsRows`]) that the per-crate
-//!   statistics snapshots (`machk-sync`'s and `machk-lock`'s) implement
-//!   so reports render both shapes uniformly.
 //!
 //! ## Feature gating and cost
 //!
-//! This crate is **always safe to build** but is only *linked* when a
-//! consumer crate's `obs` feature is on: `machk-sync`, `machk-lock`,
-//! `machk-refcount`, `machk-intr` and `machk-event` name `machk-obs` as
-//! an *optional* dependency behind their `obs` features, and their
-//! trace macros expand to nothing without it. The default build
-//! therefore contains no trace code at all — `cargo tree -p machk-sync`
-//! does not even list this crate (CI asserts exactly that).
+//! This crate is **always safe to build** but is only *linked* when
+//! `machk-sync`'s `obs` feature is on. Its `probe` module is the one
+//! caller: it names `machk-obs` as an *optional* dependency, and every
+//! other crate's `obs` feature only forwards to it. Without the feature
+//! the probes are empty, so the default build contains no trace code
+//! at all — `cargo tree -p machk-sync` does not even list this crate
+//! (CI asserts exactly that).
 //!
-//! With `obs` on, the traced fast path pays two monotonic clock reads
-//! and a handful of relaxed atomic increments per acquisition — the
+//! With `obs` on, the traced fast path pays two host-clock reads and a
+//! handful of relaxed atomic increments per acquisition — the
 //! `queued_lock` Criterion bench carries an obs-on/obs-off pair and
 //! EXPERIMENTS.md records the measured delta.
 
@@ -68,7 +65,6 @@ pub mod order;
 pub mod registry;
 pub mod report;
 pub mod ring;
-pub mod snapshot;
 pub mod subscriber;
 
 pub use event::{EventKind, TraceEvent, FLAG_CONTENDED};
@@ -77,7 +73,6 @@ pub use hist::{HistSnapshot, Log2Hist};
 pub use ndjson::NdjsonSubscriber;
 pub use registry::{ComplexOp, LockClass, LockTag, RefOp, RingOp};
 pub use report::Lockstat;
-pub use snapshot::{render_stats, StatsRows};
 pub use subscriber::{
     dispatch, install, install_static, set_auto_install, LockSubscriber, SlotsFull,
     StatsSubscriber,

@@ -10,7 +10,7 @@
 use core::fmt;
 use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
 
-use machk_sync::RawSimpleLock;
+use machk_sync::{probe, RawSimpleLock};
 
 use crate::sharded::ShardedRefCount;
 
@@ -155,12 +155,7 @@ impl ObjHeader {
         // relaxed: flag flips only under the header lock; the lock's
         // release publishes it to the next locker.
         if self.active.swap(false, Ordering::Relaxed) {
-            #[cfg(feature = "obs")]
-            machk_obs::emit(
-                machk_obs::EventKind::Deactivate,
-                self.sharded_count().map(|s| s.obs_id()).unwrap_or(0),
-                0,
-            );
+            probe::deactivated(self.sharded_count().map(ShardedRefCount::tag));
             Ok(())
         } else {
             Err(Deactivated)

@@ -36,7 +36,7 @@
 use core::fmt;
 use core::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-use machk_sync::RawSimpleLock;
+use machk_sync::{probe, RawSimpleLock};
 
 /// Number of count shards. Eight covers the span of per-object
 /// parallelism this reproduction simulates; the slot a thread uses is
@@ -101,11 +101,8 @@ pub struct ShardedRefCount {
     /// Serializes every slow path; held for the full drain, so a closed
     /// shard always means "the holder of this lock is reconciling".
     drain_lock: RawSimpleLock,
-    /// Lockstat registration (`obs` feature only).
-    #[cfg(feature = "obs")]
-    obs_tag: machk_obs::LockTag,
-    #[cfg(feature = "obs")]
-    obs_name: &'static str,
+    /// Lockstat registration (see [`machk_sync::probe`]).
+    tag: probe::Tag,
 }
 
 impl ShardedRefCount {
@@ -137,16 +134,11 @@ impl ShardedRefCount {
     /// Named form of [`ShardedRefCount::new_with_count`].
     pub const fn named_with_count(name: &'static str, count: u32) -> ShardedRefCount {
         assert!(count >= 1, "a reference count starts with >= 1 reference");
-        #[cfg(not(feature = "obs"))]
-        let _ = name;
         ShardedRefCount {
             shards: [const { Shard(AtomicU32::new(0)) }; NSHARDS],
             base: AtomicU32::new(count),
             drain_lock: RawSimpleLock::new(),
-            #[cfg(feature = "obs")]
-            obs_tag: machk_obs::LockTag::new(),
-            #[cfg(feature = "obs")]
-            obs_name: name,
+            tag: probe::Tag::new(name),
         }
     }
 
@@ -159,30 +151,10 @@ impl ShardedRefCount {
         self.base.load(Ordering::Relaxed) == PEGGED
     }
 
-    /// Registry id: 0 for anonymous counts, else lazily registered.
-    /// Crate-visible so the header's deactivation event can carry it.
-    #[cfg(feature = "obs")]
-    #[inline]
-    pub(crate) fn obs_id(&self) -> u32 {
-        if self.obs_name.is_empty() {
-            0
-        } else {
-            self.obs_tag
-                .ensure(self.obs_name, machk_obs::LockClass::RefCount, "sharded")
-        }
-    }
-
-    /// Trace one refcount operation (take / release / drain / final):
-    /// emit the event; the counters live downstream in
-    /// `machk_obs::StatsSubscriber` (which counts `RefFinal` as a
-    /// release, the destroy-now transition being a release on top).
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_ref(&self, _op: machk_obs::RefOp, kind: machk_obs::EventKind, arg: u64) {
-        let id = self.obs_id();
-        if id != 0 {
-            machk_obs::emit(kind, id, arg);
-        }
+    /// The probe identity, so the header's deactivation event can
+    /// name this count.
+    pub(crate) fn tag(&self) -> &probe::Tag {
+        &self.tag
     }
 
     /// Acquire an additional reference. Never blocks on other takers or
@@ -198,8 +170,7 @@ impl ShardedRefCount {
     pub fn take(&self) {
         // Fault hook: divert to the serialized slow path, perturbing
         // the base/shard distribution the drain must reconcile.
-        #[cfg(feature = "fault")]
-        if machk_fault::fire(machk_fault::FaultSite::RefTakeSlow) {
+        if probe::inject_ref_take_slow() {
             return self.take_slow();
         }
         let shard = &self.shards[shard_index()].0;
@@ -219,8 +190,7 @@ impl ShardedRefCount {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    #[cfg(feature = "obs")]
-                    self.obs_ref(machk_obs::RefOp::Take, machk_obs::EventKind::RefTake, 0);
+                    probe::ref_taken(&self.tag, false);
                     return;
                 }
                 Err(v) => seen = v,
@@ -238,8 +208,7 @@ impl ShardedRefCount {
         // Saturating: `MAX - 1` pegs, `MAX` (already pegged) stays put.
         // relaxed: still under the drain lock.
         self.base.store(base.saturating_add(1), Ordering::Relaxed);
-        #[cfg(feature = "obs")]
-        self.obs_ref(machk_obs::RefOp::Take, machk_obs::EventKind::RefTake, 1);
+        probe::ref_taken(&self.tag, true);
     }
 
     /// Release one reference. Returns `true` iff this was the final
@@ -249,8 +218,7 @@ impl ShardedRefCount {
     pub fn release(&self) -> bool {
         // Fault hook: divert to the slow path, forcing extra
         // drain-to-exact passes.
-        #[cfg(feature = "fault")]
-        if machk_fault::fire(machk_fault::FaultSite::RefReleaseSlow) {
+        if probe::inject_ref_release_slow() {
             return self.release_slow();
         }
         let shard = &self.shards[shard_index()].0;
@@ -265,8 +233,7 @@ impl ShardedRefCount {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    #[cfg(feature = "obs")]
-                    self.obs_ref(machk_obs::RefOp::Release, machk_obs::EventKind::RefRelease, 0);
+                    probe::ref_released(&self.tag, false);
                     return false;
                 }
                 Err(v) => seen = v,
@@ -291,8 +258,7 @@ impl ShardedRefCount {
             // final.
             // relaxed: still under the drain lock.
             self.base.store(base - 1, Ordering::Relaxed);
-            #[cfg(feature = "obs")]
-            self.obs_ref(machk_obs::RefOp::Release, machk_obs::EventKind::RefRelease, 0);
+            probe::ref_released(&self.tag, false);
             return false;
         }
         // base == 1: releasing the last *known-exact* reference. Drain to
@@ -319,19 +285,8 @@ impl ShardedRefCount {
         for s in &self.shards {
             s.0.store(0, Ordering::Release);
         }
-        #[cfg(feature = "obs")]
-        {
-            self.obs_ref(machk_obs::RefOp::Drain, machk_obs::EventKind::RefDrain, outstanding);
-            self.obs_ref(
-                machk_obs::RefOp::Release,
-                if final_release {
-                    machk_obs::EventKind::RefFinal
-                } else {
-                    machk_obs::EventKind::RefRelease
-                },
-                0,
-            );
-        }
+        probe::ref_drained(&self.tag, outstanding);
+        probe::ref_released(&self.tag, final_release);
         final_release
     }
 
@@ -432,8 +387,7 @@ impl ShardedRefCount {
         for s in &self.shards {
             s.0.store(0, Ordering::Release);
         }
-        #[cfg(feature = "obs")]
-        self.obs_ref(machk_obs::RefOp::Drain, machk_obs::EventKind::RefDrain, outstanding);
+        probe::ref_drained(&self.tag, outstanding);
         CrashReconciliation {
             before,
             released: leaked,

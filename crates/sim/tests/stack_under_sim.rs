@@ -1,7 +1,8 @@
 //! The real lock stack, unchanged, under the deterministic simulator:
 //! simple locks of every policy, deadline timeouts measured in virtual
 //! time, event wait/wakeup, the complex lock's blocking protocol, and
-//! the sharded reference count's ledger — all scheduled by seed.
+//! the sharded reference count's ledger, and a timed port receive —
+//! all scheduled by seed.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -9,6 +10,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use machk_event::{assert_wait, thread_block, thread_wakeup, waiters_on, Event, WaitResult};
+use machk_fault::{rate_from_prob, FaultPlan, FaultSite};
+use machk_ipc::{Port, PortError};
 use machk_lock::ComplexLock;
 use machk_refcount::ShardedRefCount;
 use machk_sim::{run, SimConfig, SimError};
@@ -282,4 +285,54 @@ fn stack_schedule_is_a_pure_function_of_seed() {
     assert_eq!(a.trace.tids, b.trace.tids, "byte-identical schedules");
     assert_eq!(a.clock_ns, b.clock_ns, "byte-identical virtual clocks");
     assert_eq!(a.steps, b.steps);
+}
+
+#[test]
+fn timed_receive_times_out_in_virtual_time() {
+    // Spurious wakes end some of the receiver's waits early; each
+    // re-wait may block only for what is left of the deadline on the
+    // host clock. `declared_roles_only` confines the plan to the
+    // receiver, which declares a role; the other tests in this binary
+    // never do.
+    machk_fault::install(
+        FaultPlan::new(0x81)
+            .with_rate(FaultSite::EventSpuriousWake, rate_from_prob(0.75))
+            .declared_roles_only(),
+    );
+    const TIMEOUT: Duration = Duration::from_millis(5);
+    let scenario = || {
+        machk_fault::set_role(7);
+        let port = Port::create();
+        // A ticker on a second thread: where the timeout lands among
+        // its wakeups shows in the schedule.
+        let ticker = host::spawn(|| {
+            for _ in 0..8 {
+                host::sleep(Duration::from_millis(1));
+            }
+        });
+        let start = host::now();
+        let got = port.receive_timeout(TIMEOUT);
+        let waited_ns = host::now() - start;
+        host::join(ticker);
+        (got.err(), waited_ns)
+    };
+    let cfg = SimConfig::DEFAULT.with_seed(0x7E0);
+    let a = run(&cfg, scenario).unwrap();
+    let b = run(&cfg, scenario).unwrap();
+    let spurious = machk_fault::stats()
+        .iter()
+        .find(|s| s.site == FaultSite::EventSpuriousWake)
+        .map_or(0, |s| s.fired);
+    machk_fault::disarm();
+    assert!(spurious > 0, "the plan must end some waits early");
+    assert_eq!(a.value.0, Some(PortError::TimedOut));
+    let waited_ns = a.value.1;
+    assert!(
+        (5_000_000..5_100_000).contains(&waited_ns),
+        "timeout lands at 5ms of virtual time (waited {waited_ns}ns)"
+    );
+    assert_eq!(a.value, b.value);
+    assert_eq!(a.trace.tids, b.trace.tids, "byte-identical schedules");
+    assert_eq!(a.trace.choices, b.trace.choices);
+    assert_eq!(a.clock_ns, b.clock_ns, "byte-identical virtual clocks");
 }

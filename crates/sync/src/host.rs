@@ -127,6 +127,19 @@ pub fn now() -> u64 {
     with_host(|h| h.now()).unwrap_or_else(|| os_epoch().elapsed().as_nanos() as u64)
 }
 
+/// The host time `d` from now: a deadline for timed waits, compared
+/// against [`now`] and turned back into a wait with [`until`].
+#[inline]
+pub fn deadline_after(d: Duration) -> u64 {
+    now().saturating_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+}
+
+/// Host time left until `deadline` (zero once it has passed).
+#[inline]
+pub fn until(deadline: u64) -> Duration {
+    Duration::from_nanos(deadline.saturating_sub(now()))
+}
+
 /// One spin-wait hint at `site` (a scheduling point under a simulator).
 #[inline]
 pub fn spin_hint(site: SpinSite) {

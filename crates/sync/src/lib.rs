@@ -64,15 +64,18 @@
 //!   level (section 7); the `machk-intr` crate enforces this for code running
 //!   on its simulated CPUs.
 //!
-//! ## Observability (`obs` feature)
+//! ## Observability and fault injection (`obs`, `fault` features)
 //!
-//! With the `obs` feature, every *named* lock (declared via
-//! [`decl_simple_lock_data!`] or [`RawSimpleLock::named`]) reports into
-//! the `machk-obs` lockstat layer: acquisitions and contention counts,
-//! wait/hold-time histograms, per-thread trace-ring events, and
-//! lock-order edges for deadlock diagnostics. The feature is strictly
-//! opt-in: the default build does not depend on `machk-obs` at all, so
-//! the fast paths measured by E1/E5 are bit-for-bit unaffected.
+//! Every lifecycle event of a lock, reference count, ring or event wait
+//! passes through the [`probe`] module, the one seam where the opt-in
+//! layers attach. With the `obs` feature, every *named* lock (declared
+//! via [`decl_simple_lock_data!`] or [`RawSimpleLock::named`]) reports
+//! into the `machk-obs` lockstat layer: acquisitions and contention
+//! counts, wait/hold-time histograms, per-thread trace-ring events, and
+//! lock-order edges for deadlock diagnostics. With `fault`, the
+//! injection sites ask `machk-fault`'s seeded plan whether to fire.
+//! Both are strictly opt-in: the default build does not depend on
+//! either crate, so the fast paths measured by E1/E5 are unaffected.
 //!
 //! ## Uniprocessor compile-out
 //!
@@ -91,13 +94,13 @@ pub mod deadline;
 pub mod held;
 pub mod host;
 pub mod policy;
+pub mod probe;
 pub mod queued;
 pub mod raw;
 pub mod ring;
 pub mod seq;
 pub mod simple;
 pub mod simple_locked;
-pub mod stats;
 
 pub use deadline::{JitterBackoff, LockError, LockTimeout, Poisoned};
 pub use host::{Host, JoinToken, SpinSite, ThreadToken};
@@ -107,4 +110,3 @@ pub use ring::MpscRing;
 pub use seq::{SeqCell, SeqWriter};
 pub use simple::{simple_lock, simple_lock_init, simple_lock_try, simple_unlock};
 pub use simple_locked::{SimpleLocked, SimpleLockedGuard};
-pub use stats::{InstrumentedSimpleLock, LockStats, StatsSnapshot};

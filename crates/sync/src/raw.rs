@@ -15,30 +15,8 @@ use crate::deadline::{JitterBackoff, LockError, LockTimeout, Poisoned};
 use crate::held;
 use crate::host;
 use crate::policy::{self, AdaptiveSpin, Backoff, SpinPolicy};
+use crate::probe;
 use crate::queued::QueuedState;
-
-/// Observability state carried per lock under the `obs` feature: the
-/// registry tag (lazily resolved from `name` on first acquisition) and
-/// the timestamp of the current acquisition, for hold times. Anonymous
-/// locks (`name == ""`) are never registered and never traced — only
-/// locks declared with a name appear in lockstat reports.
-#[cfg(feature = "obs")]
-struct ObsState {
-    name: &'static str,
-    tag: machk_obs::LockTag,
-    acquired_at: core::sync::atomic::AtomicU64,
-}
-
-#[cfg(feature = "obs")]
-impl ObsState {
-    const fn new(name: &'static str) -> ObsState {
-        ObsState {
-            name,
-            tag: machk_obs::LockTag::new(),
-            acquired_at: core::sync::atomic::AtomicU64::new(0),
-        }
-    }
-}
 
 /// A Mach simple lock: a spinning, non-blocking mutual exclusion lock.
 ///
@@ -91,9 +69,8 @@ pub struct RawSimpleLock {
     /// Debug-only: `ThreadId` hash of the holder, to catch self-deadlock.
     #[cfg(debug_assertions)]
     holder: AtomicU32,
-    /// Lockstat registration and hold-time state (`obs` feature only).
-    #[cfg(feature = "obs")]
-    obs: ObsState,
+    /// Lockstat registration and hold-time state (see [`probe`]).
+    tag: probe::Tag,
 }
 
 impl RawSimpleLock {
@@ -138,8 +115,6 @@ impl RawSimpleLock {
         backoff: Backoff,
         adaptive: AdaptiveSpin,
     ) -> Self {
-        #[cfg(not(feature = "obs"))]
-        let _ = name;
         RawSimpleLock {
             word: AtomicU32::new(policy::UNLOCKED),
             policy,
@@ -149,8 +124,7 @@ impl RawSimpleLock {
             poisoned: AtomicBool::new(false),
             #[cfg(debug_assertions)]
             holder: AtomicU32::new(0),
-            #[cfg(feature = "obs")]
-            obs: ObsState::new(name),
+            tag: probe::Tag::new(name),
         }
     }
 
@@ -193,15 +167,9 @@ impl RawSimpleLock {
     #[inline]
     pub fn lock_raw(&self) {
         self.debug_check_not_holder();
-        #[cfg(not(feature = "obs"))]
-        self.acquire_dispatch();
-        #[cfg(feature = "obs")]
-        {
-            let id = self.obs_id();
-            let t0 = machk_obs::now_ns();
-            let failures = self.acquire_dispatch();
-            self.obs_acquired(id, t0, failures);
-        }
+        let t0 = probe::simple_acquire_begin(&self.tag, self.policy);
+        let failures = self.acquire_dispatch();
+        probe::simple_acquired(&self.tag, t0, failures);
         self.debug_set_holder();
         held::on_acquire();
     }
@@ -291,7 +259,7 @@ impl RawSimpleLock {
     }
 
     /// Policy dispatch for a blocking acquisition; returns the failed /
-    /// waited round count for the contention statistics.
+    /// waited round count (non-zero = contended).
     #[inline]
     fn acquire_dispatch(&self) -> u64 {
         match self.policy {
@@ -308,17 +276,12 @@ impl RawSimpleLock {
     pub fn unlock_raw(&self) {
         // Fault hook: stretch the hold window by a jittered spin before
         // the word is actually cleared (the lock is still ours here).
-        #[cfg(feature = "fault")]
-        if let Some(spins) = machk_fault::fire_jitter(machk_fault::FaultSite::SimpleReleaseDelay, 4096)
-        {
-            host::spin_batch(spins);
-        }
+        probe::inject_simple_release_delay();
         self.debug_clear_holder();
         held::on_release();
         // Hold time must be read while the lock is still held, before
-        // the word release lets the next owner overwrite `acquired_at`.
-        #[cfg(feature = "obs")]
-        self.obs_released();
+        // the word release lets the next owner restamp it.
+        probe::simple_release(&self.tag);
         match self.policy {
             SpinPolicy::Ticket => self.queued.ticket_release(&self.word),
             SpinPolicy::Mcs => self.queued.mcs_release(&self.word),
@@ -351,34 +314,20 @@ impl RawSimpleLock {
         // Fault hook: force the attempt to fail without touching the
         // word (models a lost CAS / stale view); takes the ordinary
         // failure path below so obs accounting stays truthful.
-        #[cfg(feature = "fault")]
-        let forced_fail = machk_fault::fire(machk_fault::FaultSite::SimpleTryFail);
-        #[cfg(not(feature = "fault"))]
-        let forced_fail = false;
-        let acquired = !forced_fail
+        let acquired = !probe::inject_simple_try_fail()
             && match self.policy {
                 SpinPolicy::Ticket => self.queued.ticket_try(&self.word),
                 SpinPolicy::Mcs => self.queued.mcs_try(&self.word),
                 _ => policy::try_acquire(&self.word),
             };
         if acquired {
-            #[cfg(feature = "obs")]
-            {
-                let id = self.obs_id();
-                let t0 = machk_obs::now_ns();
-                self.obs_acquired(id, t0, 0);
-            }
+            let t0 = probe::simple_acquire_begin(&self.tag, self.policy);
+            probe::simple_acquired(&self.tag, t0, 0);
             self.debug_set_holder();
             held::on_acquire();
             true
         } else {
-            #[cfg(feature = "obs")]
-            {
-                let id = self.obs_id();
-                if id != 0 {
-                    machk_obs::emit(machk_obs::EventKind::SimpleTryFail, id, 0);
-                }
-            }
+            probe::simple_try_failed(&self.tag, self.policy);
             false
         }
     }
@@ -409,80 +358,12 @@ impl RawSimpleLock {
         self.queued.waiters()
     }
 
-    /// Acquire while reporting the number of failed attempts
-    /// (support for [`crate::InstrumentedSimpleLock`]).
-    pub(crate) fn acquire_counting(&self) -> u64 {
-        self.debug_check_not_holder();
-        #[cfg(feature = "obs")]
-        let (id, t0) = (self.obs_id(), machk_obs::now_ns());
-        let failures = self.acquire_dispatch();
-        #[cfg(feature = "obs")]
-        self.obs_acquired(id, t0, failures);
-        self.debug_set_holder();
-        held::on_acquire();
-        failures
-    }
-
-    /// Construct a guard for a lock the caller has already acquired via
-    /// [`RawSimpleLock::acquire_counting`].
-    pub(crate) fn guard_for_held(&self) -> SimpleGuard<'_> {
+    /// Construct a guard for a lock the caller has already acquired.
+    fn guard_for_held(&self) -> SimpleGuard<'_> {
         SimpleGuard {
             lock: self,
             _not_send: core::marker::PhantomData,
         }
-    }
-
-    /// Registry id for this lock: 0 for anonymous locks, otherwise the
-    /// lazily-registered id for `obs.name`.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_id(&self) -> u32 {
-        if self.obs.name.is_empty() {
-            0
-        } else {
-            self.obs
-                .tag
-                .ensure(self.obs.name, machk_obs::LockClass::Simple, self.policy.name())
-        }
-    }
-
-    /// Post-acquisition tracing: emit the acquire event (with the
-    /// contended flag) into the subscriber dispatcher — counters,
-    /// histograms, and the lock-order graph all live downstream in
-    /// `machk_obs::StatsSubscriber` now.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_acquired(&self, id: u32, t0: u64, failures: u64) {
-        if id == 0 {
-            return;
-        }
-        let now = machk_obs::now_ns();
-        let wait = now.saturating_sub(t0);
-        let contended = failures > 0;
-        // relaxed: timestamp read back only by this holder at release.
-        self.obs.acquired_at.store(now, Ordering::Relaxed);
-        if contended {
-            machk_obs::emit(machk_obs::EventKind::SimpleContended, id, wait);
-        }
-        machk_obs::emit_flags(
-            machk_obs::EventKind::SimpleAcquire,
-            id,
-            wait,
-            if contended { machk_obs::FLAG_CONTENDED } else { 0 },
-        );
-    }
-
-    /// Pre-release tracing: emit the release event with the measured
-    /// hold time. Must run while the lock is still held.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_released(&self) {
-        let Some(id) = self.obs.tag.get() else {
-            return;
-        };
-        // relaxed: written by this same holder at acquire time.
-        let hold = machk_obs::now_ns().saturating_sub(self.obs.acquired_at.load(Ordering::Relaxed));
-        machk_obs::emit(machk_obs::EventKind::SimpleRelease, id, hold);
     }
 
     #[cfg(debug_assertions)]

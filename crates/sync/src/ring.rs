@@ -40,6 +40,7 @@ use core::mem::MaybeUninit;
 use core::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::host::{self, SpinSite};
+use crate::probe;
 
 /// One ring slot: a sequence word (the slot's reuse generation) plus
 /// the payload cell it guards.
@@ -81,11 +82,8 @@ pub struct MpscRing<T> {
     limit: usize,
     enqueue_pos: AtomicUsize,
     dequeue_pos: AtomicUsize,
-    /// Registered trace name ("" = anonymous, untraced).
-    #[cfg(feature = "obs")]
-    obs_name: &'static str,
-    #[cfg(feature = "obs")]
-    obs_tag: machk_obs::LockTag,
+    /// Trace identity ("" = anonymous, untraced).
+    tag: probe::Tag,
 }
 
 // Safety: slots are transferred between threads with release/acquire
@@ -114,42 +112,13 @@ impl<T> MpscRing<T> {
                 val: UnsafeCell::new(MaybeUninit::uninit()),
             })
             .collect();
-        #[cfg(not(feature = "obs"))]
-        let _ = name;
         MpscRing {
             buf: buf.into_boxed_slice(),
             mask: capacity - 1,
             limit,
             enqueue_pos: AtomicUsize::new(0),
             dequeue_pos: AtomicUsize::new(0),
-            #[cfg(feature = "obs")]
-            obs_name: name,
-            #[cfg(feature = "obs")]
-            obs_tag: machk_obs::LockTag::new(),
-        }
-    }
-
-    /// Registry id: 0 for anonymous rings, else lazily registered
-    /// under [`machk_obs::LockClass::Other`] with the `"ring"` policy
-    /// label.
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_id(&self) -> u32 {
-        if self.obs_name.is_empty() {
-            0
-        } else {
-            self.obs_tag
-                .ensure(self.obs_name, machk_obs::LockClass::Other, "ring")
-        }
-    }
-
-    /// Emit one ring trace event (named rings only).
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn obs_ring(&self, kind: machk_obs::EventKind, arg: u64) {
-        let id = self.obs_id();
-        if id != 0 {
-            machk_obs::emit(kind, id, arg);
+            tag: probe::Tag::new(name),
         }
     }
 
@@ -163,6 +132,19 @@ impl<T> MpscRing<T> {
         self.buf.len()
     }
 
+    /// Items in flight counted from an enqueue position `enq` that was
+    /// read *before* the dequeue position. `None` when consumers have
+    /// already moved past `enq`: other producers pushed after the
+    /// snapshot and their items were popped, so the snapshot is stale
+    /// and the plain difference would wrap to a huge count.
+    #[inline]
+    fn in_flight(&self, enq: usize) -> Option<usize> {
+        let n = enq.wrapping_sub(self.dequeue_pos.load(Ordering::Acquire));
+        // Positions only grow and never more than a lap apart, so a
+        // genuine count is tiny; a "negative" one is the stale case.
+        (n as isize >= 0).then_some(n)
+    }
+
     /// Push `v`, or give it back if the ring is at its limit.
     ///
     /// The limit check reads a possibly-stale dequeue position; stale
@@ -170,12 +152,17 @@ impl<T> MpscRing<T> {
     /// the logical bound is never exceeded. (The cost: a push racing a
     /// pop may report full when one slot just freed — callers that
     /// block re-check after `assert_wait`, exactly the §6 discipline.)
+    /// A stale *enqueue* position is reloaded instead, never reported
+    /// as full.
     pub fn push(&self, v: T) -> Result<(), T> {
         let mut pos = self.enqueue_pos.load(Ordering::Relaxed); // relaxed: CAS below re-validates the claim
         loop {
-            if pos.wrapping_sub(self.dequeue_pos.load(Ordering::Acquire)) >= self.limit {
-                #[cfg(feature = "obs")]
-                self.obs_ring(machk_obs::EventKind::RingFull, self.limit as u64);
+            let Some(in_flight) = self.in_flight(pos) else {
+                pos = self.enqueue_pos.load(Ordering::Relaxed); // relaxed: CAS re-validates
+                continue;
+            };
+            if in_flight >= self.limit {
+                probe::ring_full(&self.tag, self.limit);
                 return Err(v);
             }
             let slot = &self.buf[pos & self.mask];
@@ -196,16 +183,14 @@ impl<T> MpscRing<T> {
                         // ownership of the slot for this lap.
                         unsafe { (*slot.val.get()).write(v) };
                         slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        #[cfg(feature = "obs")]
-                        self.obs_ring(machk_obs::EventKind::RingPush, self.len() as u64);
+                        probe::ring_push(&self.tag, || self.len());
                         return Ok(());
                     }
                     Err(now) => pos = now,
                 }
             } else if dif < 0 {
                 // A whole lap behind: physically full.
-                #[cfg(feature = "obs")]
-                self.obs_ring(machk_obs::EventKind::RingFull, self.limit as u64);
+                probe::ring_full(&self.tag, self.limit);
                 return Err(v);
             } else {
                 // Another producer advanced the position under us.
@@ -220,9 +205,8 @@ impl<T> MpscRing<T> {
     /// Pop the oldest item, if any.
     pub fn pop(&self) -> Option<T> {
         let v = self.pop_inner();
-        #[cfg(feature = "obs")]
         if v.is_some() {
-            self.obs_ring(machk_obs::EventKind::RingPop, 1);
+            probe::ring_pop(&self.tag, 1);
         }
         v
     }
@@ -280,21 +264,20 @@ impl<T> MpscRing<T> {
                 None => break,
             }
         }
-        #[cfg(feature = "obs")]
         if n > 0 {
-            self.obs_ring(machk_obs::EventKind::RingPop, n as u64);
+            probe::ring_pop(&self.tag, n);
         }
         n
     }
 
     /// Approximate in-flight count (racy; diagnostics and wakeup
-    /// heuristics only).
+    /// heuristics only). A stale snapshot reads as empty, never as
+    /// full.
     pub fn len(&self) -> usize {
-        // relaxed: both loads are advisory; the result is stale the
-        // moment it is computed.
+        // relaxed: advisory; the result is stale the moment it is
+        // computed.
         let enq = self.enqueue_pos.load(Ordering::Relaxed);
-        let deq = self.dequeue_pos.load(Ordering::Relaxed);
-        enq.wrapping_sub(deq).min(self.limit)
+        self.in_flight(enq).unwrap_or(0).min(self.limit)
     }
 
     /// Whether the ring currently looks empty (racy; diagnostics).
@@ -482,5 +465,57 @@ mod tests {
         });
         assert_eq!(got.load(Ordering::SeqCst), PRODUCERS * PER);
         assert!(ring.pop().is_none());
+    }
+
+    #[test]
+    fn stale_positions_never_read_as_full() {
+        // Two producers and a consumer keep a handful of items in flight,
+        // far below the limit, so every refused push and every `len()`
+        // at the limit is spurious. A producer's (or reader's) enqueue
+        // snapshot goes stale when the other producer pushes and the
+        // consumer pops in between; the unchecked position difference
+        // then wrapped around and read as full.
+        const PRODUCERS: usize = 2;
+        const PER: usize = 100_000;
+        const LIMIT: usize = 64;
+        const WINDOW: usize = 4;
+        let ring = MpscRing::with_limit(LIMIT);
+        let pushed = AtomicUsize::new(0);
+        let popped = AtomicUsize::new(0);
+        let refused = AtomicUsize::new(0);
+        let len_at_limit = AtomicUsize::new(0);
+        let total = PRODUCERS * PER;
+        let in_flight = || pushed.load(Ordering::SeqCst).saturating_sub(popped.load(Ordering::SeqCst));
+        std::thread::scope(|s| {
+            for _ in 0..PRODUCERS {
+                s.spawn(|| {
+                    for i in 0..PER {
+                        while in_flight() >= WINDOW {
+                            std::hint::spin_loop();
+                        }
+                        while ring.push(i).is_err() {
+                            refused.fetch_add(1, Ordering::Relaxed);
+                        }
+                        pushed.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+            s.spawn(|| {
+                while popped.load(Ordering::SeqCst) < total {
+                    if ring.pop().is_some() {
+                        popped.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            });
+            s.spawn(|| {
+                while popped.load(Ordering::SeqCst) < total {
+                    if ring.len() >= LIMIT {
+                        len_at_limit.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        });
+        assert_eq!(refused.load(Ordering::Relaxed), 0, "spurious full pushes");
+        assert_eq!(len_at_limit.load(Ordering::Relaxed), 0, "spurious full len()");
     }
 }

@@ -7,6 +7,7 @@
 //! waiters. The bounded size is what makes the section-7.1 deadlock
 //! reproducible.
 
+use machk_core::sync::host;
 use machk_core::{
     assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event, SimpleLocked, WaitResult,
 };
@@ -56,22 +57,21 @@ impl PagePool {
     }
 
     /// Allocate with a bound on the wait (used by demos that must not
-    /// hang on a genuine deadlock).
+    /// hang on a genuine deadlock), measured on the host clock.
     pub fn alloc_timeout(&self, timeout: std::time::Duration) -> Option<PageId> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = host::deadline_after(timeout);
         loop {
             {
                 let mut s = self.state.lock();
                 if let Some(p) = s.free.pop() {
                     return Some(p);
                 }
-                if std::time::Instant::now() >= deadline {
+                if host::now() >= deadline {
                     return None;
                 }
                 assert_wait(self.event(), false);
             }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if thread_block_timeout(remaining) == WaitResult::TimedOut {
+            if thread_block_timeout(host::until(deadline)) == WaitResult::TimedOut {
                 let mut s = self.state.lock();
                 return s.free.pop();
             }

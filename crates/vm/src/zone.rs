@@ -12,6 +12,7 @@
 //! slots under a simple lock, blocking `alloc` via the section-6
 //! event-wait protocol, and `free` waking the shortage waiters.
 
+use machk_core::sync::host;
 use machk_core::{
     assert_wait, thread_block, thread_block_timeout, thread_wakeup, Event, SimpleLocked, WaitResult,
 };
@@ -97,9 +98,10 @@ impl<T> Zone<T> {
         }
     }
 
-    /// Allocate with a bounded wait; `None` on timeout.
+    /// Allocate with a bounded wait, measured on the host clock; `None`
+    /// on timeout.
     pub fn alloc_timeout(&self, limit: std::time::Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + limit;
+        let deadline = host::deadline_after(limit);
         let mut waited = false;
         loop {
             {
@@ -112,15 +114,13 @@ impl<T> Zone<T> {
                     }
                     return Some(el);
                 }
-                if std::time::Instant::now() >= deadline {
+                if host::now() >= deadline {
                     return None;
                 }
                 assert_wait(self.event(), false);
             }
             waited = true;
-            if thread_block_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
-                == WaitResult::TimedOut
-            {
+            if thread_block_timeout(host::until(deadline)) == WaitResult::TimedOut {
                 // Final attempt after the timeout.
                 let mut s = self.state.lock();
                 return match s.free.pop() {
